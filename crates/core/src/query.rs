@@ -12,14 +12,30 @@
 //!
 //! ## The fused hot path
 //!
-//! A request does **one** full-catalog pass (the accuracy scorer's, which
-//! is irreducible: per-user normalization needs the whole vector) and then
-//! streams candidates straight into the selection heap, evaluating
+//! The linear kernels ([`fused_select`] and its run-hoisting variants)
+//! stream every candidate straight into the selection heap, evaluating
 //! `(1−θ)a + θc` per candidate against a [`CoverageView`]. No dense
 //! coverage buffer is filled, no combined-score buffer is written, and
 //! non-candidate items (the user's seen set) are never scored. The result
 //! is bit-identical to the three-buffer reference computation
 //! ([`combine_into`] over dense fills), which the property suite checks.
+//! They serve per-user accuracy models, whose accuracy fill is a
+//! full-catalog pass per request anyway, and are the batch reference.
+//!
+//! ## The sorted walk
+//!
+//! Non-personalized base models (Pop, ItemAvg under `Normalized`
+//! adaptation) give every user the same accuracy vector, so its ranking
+//! ([`accuracy_order`]) is computed once per model version. [`walk_select`]
+//! visits candidates in that order and stops at the first item whose best
+//! possible score `(1−θ)a + θ` (coverage never exceeds 1) is strictly
+//! below the list's floor: every later item has no larger accuracy, so no
+//! larger bound. The stop is exact in f64 (see [`walk_select`]) and lists
+//! stay byte-identical to the linear kernel. It applies for `θ < 1` over a
+//! NaN-free vector; at `θ = 1` the bound is constant and the walk could
+//! never stop, so callers walk every candidate in id order there
+//! ([`Walk::Ascending`]), as for vectors with a NaN. Exclusions are
+//! per-request item flags, not list merges.
 
 use crate::accuracy::AccuracyScorer;
 use crate::coverage::{CoverageSnapshots, CoverageView, DynCoverage, RandCoverage, StatCoverage};
@@ -439,6 +455,159 @@ fn fused_select_with<R: RunSource>(
                     col.offer(i, w_a * av + theta_u * cv);
                 }
             });
+        }
+    }
+    col.finish()
+}
+
+/// The in-train items in descending shared accuracy, ties broken by
+/// ascending id — the ranking [`Walk::Sorted`] visits. `None` when an
+/// in-train value is NaN: the walk's stopping bound needs a total order,
+/// so such vectors are served by the exhaustive [`Walk::Ascending`].
+pub fn accuracy_order(a: &[f64], in_train: &[bool]) -> Option<Vec<u32>> {
+    let mut order: Vec<u32> = (0..a.len() as u32)
+        .filter(|&i| in_train[i as usize])
+        .collect();
+    if order.iter().any(|&i| a[i as usize].is_nan()) {
+        return None;
+    }
+    order.sort_unstable_by(|&x, &y| a[y as usize].total_cmp(&a[x as usize]).then(x.cmp(&y)));
+    Some(order)
+}
+
+/// Per-request item flags for [`walk_select`]: one byte per catalog item,
+/// all zero between requests. A batch worker allocates one and reuses it
+/// for every user it serves (a single request may allocate its own); each
+/// request marks only the items it excludes plus the view's overlay ids,
+/// and clears exactly those again.
+#[derive(Debug)]
+pub struct ItemFlags(Vec<u8>);
+
+/// The item leaves this request's candidate pool.
+const SKIP: u8 = 1;
+/// The item's coverage comes from the view's overlay, not its base slice.
+const OVERLAY: u8 = 2;
+
+impl ItemFlags {
+    /// Zeroed flags for a catalog of `n_items` items.
+    pub fn new(n_items: usize) -> ItemFlags {
+        ItemFlags(vec![0; n_items])
+    }
+}
+
+/// The order [`walk_select`] visits candidates in.
+#[derive(Debug, Clone, Copy)]
+pub enum Walk<'a> {
+    /// In-train ids in descending accuracy ([`accuracy_order`] of the `a`
+    /// passed alongside): the walk stops at the first item whose best
+    /// possible score falls strictly below the list's floor.
+    Sorted(&'a [u32]),
+    /// Every item of the `in_train` mask in ascending id order: an
+    /// exhaustive walk for accuracy vectors without a sorted order.
+    Ascending(&'a [bool]),
+}
+
+/// Flag-based fused selection: the user's top-N under `(1−θ)a + θc` over
+/// the candidates `walk` visits, minus every id in the `skip` lists (the
+/// user's seen row, post-fit ingests, request exclusions; ids outside the
+/// catalog are ignored). Bit-identical to [`fused_select`] over the same
+/// candidate pool: every offered score is the same expression, and the
+/// collector's total order makes the result independent of offer order.
+///
+/// Exactness of the [`Walk::Sorted`] early exit. For `θ ∈ [0, 1]` and the
+/// [`CoverageProvider`] contract `c ≤ 1`, a candidate's score is at most
+/// `fl(fl((1−θ)·a) + θ)`, because `fl(θ·c) ≤ θ` and f64 rounding is
+/// monotone. Once that bound is *strictly* below the heap floor the
+/// candidate loses, whatever its id, and every later candidate has
+/// `a' ≤ a` and so a bound no larger, which ends the walk. Equal bounds
+/// keep walking, so tied candidates with smaller ids still compete. For θ
+/// outside `[0, 1]` the bound does not hold and every candidate is scored;
+/// [`Walk::Ascending`] always scores every candidate.
+#[allow(clippy::too_many_arguments)]
+pub fn walk_select(
+    n: usize,
+    theta_u: f64,
+    a: &[f64],
+    view: &CoverageView<'_>,
+    walk: Walk<'_>,
+    flags: &mut ItemFlags,
+    skip: &[&[u32]],
+) -> Vec<ItemId> {
+    assert_eq!(flags.0.len(), a.len(), "flags must cover the catalog");
+    if n == 0 {
+        return Vec::new();
+    }
+    let overlay: &[(u32, f64)] = match view {
+        CoverageView::Patched { overlay, .. } => overlay,
+        _ => &[],
+    };
+    let ids = || skip.iter().flat_map(|l| l.iter().copied());
+    for i in ids() {
+        if let Some(f) = flags.0.get_mut(i as usize) {
+            *f |= SKIP;
+        }
+    }
+    for &(i, _) in overlay {
+        flags.0[i as usize] |= OVERLAY;
+    }
+    let f = &flags.0;
+    let list = match view {
+        CoverageView::Dense(c) => walk_with(n, theta_u, a, walk, f, |i, _| c[i as usize]),
+        CoverageView::Hashed { seed, user } => {
+            walk_with(n, theta_u, a, walk, f, |i, _| unit_hash(*seed, *user, i))
+        }
+        CoverageView::Patched { base, overlay } => walk_with(n, theta_u, a, walk, f, |i, flag| {
+            if flag & OVERLAY == 0 {
+                base[i as usize]
+            } else {
+                overlay[overlay.partition_point(|e| e.0 < i)].1
+            }
+        }),
+    };
+    for i in ids().chain(overlay.iter().map(|e| e.0)) {
+        if let Some(f) = flags.0.get_mut(i as usize) {
+            *f = 0;
+        }
+    }
+    list
+}
+
+/// The [`walk_select`] loop, monomorphized per (walk, view) pairing.
+fn walk_with(
+    n: usize,
+    theta_u: f64,
+    a: &[f64],
+    walk: Walk<'_>,
+    flags: &[u8],
+    coverage: impl Fn(u32, u8) -> f64,
+) -> Vec<ItemId> {
+    let w_a = 1.0 - theta_u;
+    let bounded = (0.0..=1.0).contains(&theta_u);
+    let mut col = TopNCollector::new(n);
+    match walk {
+        Walk::Sorted(order) => {
+            for &i in order {
+                let wav = w_a * a[i as usize];
+                if bounded && wav + theta_u < col.current_floor() {
+                    break;
+                }
+                let flag = flags[i as usize];
+                if flag & SKIP == 0 {
+                    let cv = coverage(i, flag);
+                    debug_assert!(cv <= 1.0, "coverage {cv} of item {i} exceeds 1");
+                    col.offer(i, wav + theta_u * cv);
+                }
+            }
+        }
+        Walk::Ascending(in_train) => {
+            for (i, _) in (0u32..).zip(in_train).filter(|(_, &t)| t) {
+                let flag = flags[i as usize];
+                if flag & SKIP == 0 {
+                    let cv = coverage(i, flag);
+                    debug_assert!(cv <= 1.0, "coverage {cv} of item {i} exceeds 1");
+                    col.offer(i, w_a * a[i as usize] + theta_u * cv);
+                }
+            }
         }
     }
     col.finish()

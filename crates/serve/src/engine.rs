@@ -36,7 +36,7 @@ use crate::bundle::{make_scorer_with_mask, CoverageState, FittedModel, ModelBund
 use crate::lru::LruCache;
 use crate::obs::EngineObs;
 use ganc_core::query::{
-    fused_select, fused_select_recording, fused_select_runs, RequestOptions, RerankMode, UserQuery,
+    accuracy_order, walk_select, ItemFlags, RequestOptions, RerankMode, UserQuery, Walk,
 };
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_obs::{ObsHub, WindowStats, WindowWire};
@@ -124,9 +124,6 @@ struct EngineState {
     generation: u64,
     /// Items with ≥1 train rating (the candidate mask), shared by workers.
     in_train: Vec<bool>,
-    /// Sorted complement of `in_train` — the exclusion list the fused
-    /// candidate walk merges instead of testing a mask per item.
-    non_train: Vec<u32>,
     /// Per-user items ingested after fit (sorted), excluded from candidates.
     extra_seen: Vec<Vec<u32>>,
     /// Live popularity: train counts plus ingested interactions.
@@ -147,9 +144,16 @@ struct EngineState {
     /// vector. Rebuilt on first request after an ingest invalidates it, so
     /// ingestion itself stays `O(touched items)`.
     shared_accuracy: Mutex<Option<Arc<Vec<f64>>>>,
-    /// Lazily hoisted per-user candidate runs (the ROADMAP
-    /// candidate-run-reuse item): a user's exclusion merge
-    /// (`seen + extra_seen + non_train`) only changes when *they* ingest,
+    /// The shared vector's [`accuracy_order`] (`None` inside when it holds
+    /// a NaN), which the sorted walk visits. Sorted once, with the first
+    /// shared vector of a bundle; a Pop ingest moves the bumped item up in
+    /// place ([`promote`]) since min–max normalization keeps the raw-count
+    /// order, and only a model rebuild drops it for a fresh sort.
+    accuracy_order: OnceLock<Option<Vec<u32>>>,
+    /// Lazily hoisted candidate runs, per user, for per-user accuracy
+    /// models only (empty when the accuracy is shared — the sorted walk
+    /// records nothing): a user's exclusion merge
+    /// (`seen + extra_seen + non-train items`) only changes when *they* ingest,
     /// so repeat requests — the batch parallel phase above all — replay the
     /// frozen `[lo, hi)` runs instead of re-merging. Invalidated per user
     /// under the ingest write lock; a bundle swap rebuilds the whole state.
@@ -178,30 +182,23 @@ pub fn build_reranker(
     }
 }
 
-/// Merge two sorted, deduplicated ascending id lists into one.
-fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+/// Move `item` to its place in `order` — sorted by `counts` descending,
+/// ties by ascending id — after its count rose by one: two binary
+/// searches and an `O(shift)` rotation instead of a re-sort.
+fn promote(order: &mut [u32], item: u32, counts: &[u32]) {
+    let now = counts[item as usize];
+    let ahead = |j: u32, count: u32| {
+        let c = counts[j as usize];
+        c > count || (c == count && j < item)
+    };
+    let from = order.partition_point(|&j| j != item && ahead(j, now - 1));
+    debug_assert_eq!(
+        order.get(from),
+        Some(&item),
+        "order out of step with counts"
+    );
+    let to = order[..from].partition_point(|&j| ahead(j, now));
+    order[to..=from].rotate_right(1);
 }
 
 impl EngineState {
@@ -225,7 +222,6 @@ impl EngineState {
                 .model
                 .bind(&bundle.train)
                 .scores_are_user_independent();
-        let non_train = ganc_recommender::topn::non_train_items(&in_train);
         let pop_bump_ok = match &*bundle.model {
             FittedModel::Pop(pop) => pop_counts
                 .iter()
@@ -233,20 +229,24 @@ impl EngineState {
                 .all(|(i, &f)| pop.popularity_score(ItemId(i as u32)) == f as f64),
             _ => false,
         };
-        let candidate_runs = std::iter::repeat_with(OnceLock::new)
-            .take(bundle.train.n_users() as usize)
-            .collect();
+        let candidate_runs = if accuracy_is_shared {
+            Vec::new()
+        } else {
+            std::iter::repeat_with(OnceLock::new)
+                .take(bundle.train.n_users() as usize)
+                .collect()
+        };
         EngineState {
             bundle,
             generation,
             in_train,
-            non_train,
             extra_seen,
             pop_counts,
             seed_index,
             accuracy_is_shared,
             pop_bump_ok,
             shared_accuracy: Mutex::new(None),
+            accuracy_order: OnceLock::new(),
             candidate_runs,
             rerankers: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
         }
@@ -296,28 +296,45 @@ impl EngineState {
         guard.clone()
     }
 
-    /// The fused-path list for one user at an explicit θ given a prefetched
-    /// shared accuracy vector. The candidate pool is the user's default one
-    /// (runs are θ-independent), so cached runs are served and recorded as
-    /// on the default path.
-    fn compute_shared(&self, user: UserId, accuracy: &[f64], theta_u: f64) -> Vec<ItemId> {
+    /// One user's list at an explicit θ given a prefetched shared accuracy
+    /// vector, minus the request's `exclude` ids. The sorted walk serves
+    /// every θ < 1 over a NaN-free vector; θ = 1 (a constant bound, so the
+    /// walk could never stop early) and NaN vectors take the exhaustive
+    /// flag walk.
+    fn compute_shared(
+        &self,
+        user: UserId,
+        accuracy: &[f64],
+        theta_u: f64,
+        exclude: &[u32],
+        flags: &mut ItemFlags,
+    ) -> Vec<ItemId> {
         let b = &self.bundle;
         let view = b.coverage.provider().view(user, theta_u);
-        if let Some(runs) = self.cached_runs(user) {
-            return fused_select_runs(b.n, theta_u, accuracy, &view, runs);
-        }
-        let (list, runs) = fused_select_recording(
+        let extra = &self.extra_seen[user.idx()];
+        let order = self
+            .accuracy_order
+            .get_or_init(|| accuracy_order(accuracy, &self.in_train));
+        let walk = match order {
+            Some(order) if (0.0..1.0).contains(&theta_u) => Walk::Sorted(order),
+            _ => Walk::Ascending(&self.in_train),
+        };
+        let seen = b.train.user_row(user).0;
+        walk_select(
             b.n,
             theta_u,
             accuracy,
             &view,
-            &b.train,
-            &self.non_train,
-            user,
-            &self.extra_seen[user.idx()],
-        );
-        self.record_runs(user, runs);
-        list
+            walk,
+            flags,
+            &[seen, extra, exclude],
+        )
+    }
+
+    /// A zeroed flag scratch for one request's walk (batch workers keep
+    /// one for all their users; single requests allocate one per call).
+    fn flags(&self) -> ItemFlags {
+        ItemFlags::new(self.bundle.n_items() as usize)
     }
 
     /// Compute one user's list the way the batch optimizer would.
@@ -329,7 +346,7 @@ impl EngineState {
             }
         }
         if let Some(a) = self.shared_accuracy() {
-            return self.compute_shared(user, &a, b.theta[user.idx()]);
+            return self.compute_shared(user, &a, b.theta[user.idx()], &[], &mut self.flags());
         }
         let bound = b.model.bind(&b.train);
         let scorer = make_scorer_with_mask(&bound, b.accuracy_mode, &b.train, &self.in_train, b.n);
@@ -360,36 +377,27 @@ impl EngineState {
     /// never be recommended anyway).
     fn compute_with(&self, user: UserId, theta_u: f64, exclude: &[u32]) -> Vec<ItemId> {
         let b = &self.bundle;
-        if exclude.is_empty() {
-            // Same candidate pool as the default path: the hoisted-run
-            // cache applies (runs are θ-independent).
-            if let Some(a) = self.shared_accuracy() {
-                return self.compute_shared(user, &a, theta_u);
-            }
-            let bound = b.model.bind(&b.train);
-            let scorer =
-                make_scorer_with_mask(&bound, b.accuracy_mode, &b.train, &self.in_train, b.n);
-            let mut query = UserQuery::new(scorer.as_ref(), &b.train, &self.in_train, b.n);
-            return self.query_topn(&mut query, user, theta_u);
-        }
-        let merged = merge_sorted(&self.extra_seen[user.idx()], exclude);
         if let Some(a) = self.shared_accuracy() {
-            let view = b.coverage.provider().view(user, theta_u);
-            return fused_select(
-                b.n,
-                theta_u,
-                &a,
-                &view,
-                &b.train,
-                &self.non_train,
-                user,
-                &merged,
-            );
+            return self.compute_shared(user, &a, theta_u, exclude, &mut self.flags());
         }
         let bound = b.model.bind(&b.train);
         let scorer = make_scorer_with_mask(&bound, b.accuracy_mode, &b.train, &self.in_train, b.n);
-        let mut query = UserQuery::new(scorer.as_ref(), &b.train, &self.in_train, b.n);
-        query.topn_excluding(user, theta_u, b.coverage.provider(), &merged)
+        if exclude.is_empty() {
+            // Same candidate pool as the default path: the hoisted-run
+            // cache applies (runs are θ-independent).
+            let mut query = UserQuery::new(scorer.as_ref(), &b.train, &self.in_train, b.n);
+            return self.query_topn(&mut query, user, theta_u);
+        }
+        let mut a = vec![0.0; b.n_items() as usize];
+        scorer.accuracy_scores(user, &mut a);
+        let view = b.coverage.provider().view(user, theta_u);
+        let skip = [
+            b.train.user_row(user).0,
+            &self.extra_seen[user.idx()],
+            exclude,
+        ];
+        let walk = Walk::Ascending(&self.in_train);
+        walk_select(b.n, theta_u, &a, &view, walk, &mut self.flags(), &skip)
     }
 
     /// The online re-rank path: run `mode`'s re-ranker as a per-request
@@ -706,11 +714,18 @@ impl ServingEngine {
                     let is_dyn = matches!(b.coverage, CoverageState::Dynamic(_));
                     let mut out = Vec::with_capacity(piece.len());
                     if let Some(a) = shared_accuracy {
+                        let mut flags = state.flags();
                         for &k in piece {
                             let user = users[k];
                             let list = match state.seed_index.get(&user.0) {
                                 Some(&s) if is_dyn => b.seed_lists[s].1.clone(),
-                                _ => state.compute_shared(user, &a, b.theta[user.idx()]),
+                                _ => state.compute_shared(
+                                    user,
+                                    &a,
+                                    b.theta[user.idx()],
+                                    &[],
+                                    &mut flags,
+                                ),
                             };
                             out.push((k, Arc::new(list)));
                         }
@@ -780,7 +795,9 @@ impl ServingEngine {
         // The user's hoisted candidate runs baked in the old exclusion
         // state; drop them (other users' pools are untouched — popularity
         // drift never changes who a candidate is).
-        state.candidate_runs[user.idx()].take();
+        if let Some(runs) = state.candidate_runs.get_mut(user.idx()) {
+            runs.take();
+        }
         state.pop_counts[item.idx()] += 1;
         let count = state.pop_counts[item.idx()];
         // Popularity-derived state refreshes in O(touched items): both the
@@ -796,6 +813,12 @@ impl ServingEngine {
                 if let FittedModel::Pop(pop) = Arc::make_mut(&mut state.bundle.model) {
                     pop.bump(item);
                 }
+                let st = &mut *state;
+                if let Some(Some(order)) = st.accuracy_order.get_mut() {
+                    if st.in_train[item.idx()] {
+                        promote(order, item.0, &st.pop_counts);
+                    }
+                }
             } else {
                 // Legacy v1 artifacts store normalized scores (and a Pop
                 // model could have been fit off-train); a +1 bump would be
@@ -804,6 +827,7 @@ impl ServingEngine {
                     &state.pop_counts,
                 )));
                 state.pop_bump_ok = true;
+                state.accuracy_order.take();
             }
             // The shared normalized-accuracy vector is derived from the
             // model; drop it (O(1)) and let the next request rebuild it.
@@ -982,15 +1006,36 @@ mod tests {
 
     #[test]
     fn ingest_invalidates_hoisted_runs_for_the_batch_path() {
-        // Static coverage: batch misses take the fused query path over the
-        // hoisted candidate runs; a stale run list would re-recommend the
-        // consumed item.
+        // Static coverage: batch misses take the fused query path; a stale
+        // exclusion state would re-recommend the consumed item.
         let e = engine(CoverageKind::Static);
         let u = UserId(1);
         let neighbor = UserId(2);
         let before = e.recommend_batch(&[u, neighbor]);
         let consumed = before[0].as_ref().unwrap()[0];
         let neighbor_before = before[1].as_ref().unwrap().clone();
+        e.ingest(u, consumed, 5.0).unwrap();
+        e.flush_cache();
+        let after = e.recommend_batch(&[u, neighbor]);
+        assert!(
+            !after[0].as_ref().unwrap().contains(&consumed),
+            "stale hoisted runs re-recommended {consumed:?}"
+        );
+        // ...even though their *scores* may move with global popularity.
+        let fresh = engine(CoverageKind::Static);
+        assert_eq!(
+            neighbor_before,
+            fresh.recommend(neighbor).unwrap(),
+            "sanity: neighbor's pre-ingest list matches a fresh engine"
+        );
+        assert!(after[1].is_ok());
+
+        // Shared accuracy records no runs; a per-user accuracy model (Pop
+        // under the top-N indicator adapter) still hoists them.
+        assert!(e.state.read().unwrap().candidate_runs.is_empty());
+        let e = per_user_engine();
+        let before = e.recommend_batch(&[u, neighbor]);
+        let consumed = before[0].as_ref().unwrap()[0];
         e.ingest(u, consumed, 5.0).unwrap();
         e.flush_cache();
         let after = e.recommend_batch(&[u, neighbor]);
@@ -1011,14 +1056,68 @@ mod tests {
             // is not a candidate change)...
             assert!(state.cached_runs(neighbor).is_some());
         }
-        // ...even though their *scores* may move with global popularity.
-        let fresh = engine(CoverageKind::Static);
-        assert_eq!(
-            neighbor_before,
-            fresh.recommend(neighbor).unwrap(),
-            "sanity: neighbor's pre-ingest list matches a fresh engine"
-        );
-        assert!(after[1].is_ok());
+    }
+
+    /// Pop under the top-N indicator adapter: accuracy differs per user,
+    /// so the engine serves it through the per-user query path.
+    fn per_user_engine() -> ServingEngine {
+        let data = DatasetProfile::tiny().generate(5);
+        let split = data.split_per_user(0.5, 2).unwrap();
+        let theta = GeneralizedConfig::default().estimate(&split.train);
+        let pop = MostPopular::fit(&split.train);
+        let cfg = FitConfig {
+            coverage: CoverageKind::Static,
+            accuracy_mode: ganc_core::accuracy::AccuracyMode::TopNIndicator,
+            sample_size: 12,
+            ..FitConfig::new(5)
+        };
+        let bundle = ModelBundle::fit(FittedModel::Pop(pop), theta, split.train, &cfg);
+        let e = ServingEngine::new(bundle, EngineConfig::default());
+        assert!(!e.state.read().unwrap().accuracy_is_shared);
+        e
+    }
+
+    #[test]
+    fn pop_ingests_repair_the_accuracy_order_in_place() {
+        for kind in [CoverageKind::Static, CoverageKind::Dynamic] {
+            let e = engine(kind);
+            let replay = engine(kind);
+            let (n_users, n_items) = {
+                let state = e.state.read().unwrap();
+                (state.bundle.n_users(), state.bundle.n_items())
+            };
+            let all: Vec<UserId> = (0..n_users).map(UserId).collect();
+            e.recommend_batch(&all);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for step in 0..300 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let (u, i) = (UserId((x % n_users as u64) as u32), (x >> 32) as u32);
+                // Skew toward a few items so bumped counts collide and tie.
+                let item = ItemId(if step % 3 == 0 { i % 4 } else { i % n_items });
+                e.ingest(u, item, 4.0).unwrap();
+                replay.ingest(u, item, 4.0).unwrap();
+                if step % 7 == 0 {
+                    e.recommend(u).unwrap();
+                }
+            }
+            e.flush_cache();
+            let lists = e.recommend_batch(&all);
+            {
+                let state = e.state.read().unwrap();
+                let repaired = state
+                    .accuracy_order
+                    .get()
+                    .expect("built by the first batch");
+                let a = state.shared_accuracy().unwrap();
+                assert_eq!(repaired, &accuracy_order(&a, &state.in_train), "{kind:?}");
+            }
+            // The replayed engine never served before its ingests, so it
+            // sorts its order afresh from the final counts.
+            assert!(replay.state.read().unwrap().accuracy_order.get().is_none());
+            assert_eq!(lists, replay.recommend_batch(&all), "{kind:?}");
+        }
     }
 
     #[test]

@@ -5,12 +5,19 @@
 //! extremes, and exclusion lists.
 
 use ganc::core::accuracy::{AccuracyScorer, NormalizedScores};
-use ganc::core::coverage::{CoverageSnapshots, DynCoverage, RandCoverage, StatCoverage};
-use ganc::core::query::{combine_into, CoverageProvider, UserQuery};
+use ganc::core::coverage::{
+    CoverageSnapshots, CoverageView, DynCoverage, RandCoverage, StatCoverage,
+};
+use ganc::core::query::{
+    accuracy_order, combine_into, fused_select, walk_select, CoverageProvider, ItemFlags,
+    UserQuery, Walk,
+};
 use ganc::dataset::dataset::{DatasetBuilder, RatingScale};
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::recommender::pop::MostPopular;
-use ganc::recommender::topn::{select_top_n, train_item_mask, unseen_train_candidates};
+use ganc::recommender::topn::{
+    non_train_items, select_top_n, train_item_mask, unseen_train_candidates,
+};
 use proptest::prelude::*;
 
 const N_USERS: u32 = 10;
@@ -186,6 +193,151 @@ fn fused_exclusion_refill_matches_naive() {
         assert_eq!(fused, naive, "user {u}");
         for item in &fused {
             assert!(!first.contains(item), "user {u}: {item:?} was excluded");
+        }
+    }
+}
+
+/// Sorted ascending, deduplicated ids.
+fn sorted_ids(mut ids: Vec<u32>) -> Vec<u32> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// Both walks against the linear kernel over the same candidate pool
+/// (`extra ∪ exclude` merged for the linear side), for every user, every
+/// view variant and every θ.
+#[allow(clippy::too_many_arguments)]
+fn check_walks(
+    train: &Interactions,
+    a: &[f64],
+    c: &[f64],
+    overlay: &[(u32, f64)],
+    extra: &[u32],
+    exclude: &[u32],
+    n: usize,
+    thetas: &[f64],
+) {
+    let in_train = train_item_mask(train);
+    let non_train = non_train_items(&in_train);
+    let order = accuracy_order(a, &in_train).expect("no NaN");
+    let merged = sorted_ids(extra.iter().chain(exclude).copied().collect());
+    let mut flags = ItemFlags::new(N_ITEMS as usize);
+    for u in 0..train.n_users() {
+        let views = [
+            CoverageView::Dense(c),
+            CoverageView::Hashed {
+                seed: 0xFEED,
+                user: u,
+            },
+            CoverageView::Patched { base: c, overlay },
+        ];
+        let seen = train.user_row(UserId(u)).0;
+        for view in &views {
+            for &t in thetas {
+                let linear = fused_select(n, t, a, view, train, &non_train, UserId(u), &merged);
+                for walk in [Walk::Sorted(&order), Walk::Ascending(&in_train)] {
+                    let got = walk_select(n, t, a, view, walk, &mut flags, &[seen, extra, exclude]);
+                    assert_eq!(got, linear, "user {u} θ={t} n={n} {walk:?} {view:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Coverage in eighths: ties, exact 1s, never 0.
+fn eighths(k: u32) -> f64 {
+    k as f64 / 8.0
+}
+
+proptest! {
+    /// The sorted-access walk (and the exhaustive flag walk) equal the
+    /// linear kernel byte for byte, at both θ extremes and inside: integer
+    /// accuracy (heavy ties), coverage ties and exact 1s, a sparse
+    /// overlay, exclusions reaching past the catalog, and n up to beyond
+    /// the candidate pool.
+    #[test]
+    fn sorted_walk_matches_linear_fused_select(
+        train in arb_train(),
+        scores in (
+            proptest::collection::vec(0u32..4, N_ITEMS as usize..N_ITEMS as usize + 1),
+            proptest::collection::vec(1u32..=8, N_ITEMS as usize..N_ITEMS as usize + 1),
+            proptest::collection::vec((0u32..N_ITEMS, 1u32..=8), 0..8),
+        ),
+        skip in (
+            proptest::collection::vec(0u32..N_ITEMS, 0..6),
+            proptest::collection::vec(0u32..N_ITEMS + 6, 0..6),
+        ),
+        theta in 0.0f64..1.0,
+        n in 1usize..32,
+    ) {
+        let (a, c, overlay) = scores;
+        let a: Vec<f64> = a.into_iter().map(f64::from).collect();
+        let c: Vec<f64> = c.into_iter().map(eighths).collect();
+        let mut overlay: Vec<(u32, f64)> = overlay.into_iter().map(|(i, k)| (i, eighths(k))).collect();
+        overlay.sort_by_key(|e| e.0);
+        overlay.dedup_by_key(|e| e.0);
+        let (extra, exclude) = (sorted_ids(skip.0), sorted_ids(skip.1));
+        check_walks(&train, &a, &c, &overlay, &extra, &exclude, n, &[0.0, theta, 1.0]);
+    }
+}
+
+/// Normalized Pop accuracy over real snapshot views (dense checkpoints and
+/// patched overlays): the walk visits only a prefix of the ranking and
+/// still equals the linear kernel.
+#[test]
+fn sorted_walk_matches_linear_over_snapshot_views() {
+    let data = ganc::dataset::synth::DatasetProfile::tiny().generate(41);
+    let train = data.split_per_user(0.5, 3).unwrap().train;
+    let n_items = train.n_items();
+    let pop = MostPopular::fit(&train);
+    let arec = NormalizedScores::new(&pop);
+    let mut a = vec![0.0; n_items as usize];
+    arec.accuracy_scores(UserId(0), &mut a);
+    let in_train = train_item_mask(&train);
+    let non_train = non_train_items(&in_train);
+    let order = accuracy_order(&a, &in_train).unwrap();
+    let mut snaps = CoverageSnapshots::for_items(n_items);
+    for k in 0..60u32 {
+        let list = [ItemId((k * 7) % n_items), ItemId((k * 11 + 3) % n_items)];
+        snaps.push_assigned(k as f64 / 60.0, &list);
+    }
+    let mut flags = ItemFlags::new(n_items as usize);
+    for u in 0..train.n_users() {
+        let seen = train.user_row(UserId(u)).0;
+        for step in 0..=20 {
+            let t = step as f64 / 20.0;
+            let view = snaps.view(UserId(u), t);
+            let linear = fused_select(5, t, &a, &view, &train, &non_train, UserId(u), &[]);
+            let walked = walk_select(5, t, &a, &view, Walk::Sorted(&order), &mut flags, &[seen]);
+            assert_eq!(walked, linear, "user {u} θ={t}");
+        }
+    }
+}
+
+/// A NaN in the in-train accuracy leaves no total order to stop on, so
+/// the vector gets no sorted order and is served by the exhaustive flag
+/// walk, which still equals the linear kernel.
+#[test]
+fn nan_accuracy_takes_the_exhaustive_walk() {
+    let data = ganc::dataset::synth::DatasetProfile::tiny().generate(43);
+    let train = data.split_per_user(0.5, 4).unwrap().train;
+    let in_train = train_item_mask(&train);
+    let non_train = non_train_items(&in_train);
+    let mut a: Vec<f64> = (0..train.n_items()).map(|i| (i % 5) as f64 / 4.0).collect();
+    let nan_at = in_train.iter().position(|&t| t).unwrap();
+    a[nan_at] = f64::NAN;
+    assert!(accuracy_order(&a, &in_train).is_none());
+    let stat = StatCoverage::fit(&train);
+    let view = stat.view(UserId(0), 0.3);
+    let mut flags = ItemFlags::new(a.len());
+    for u in 0..train.n_users() {
+        let seen = train.user_row(UserId(u)).0;
+        for t in [0.0, 0.3, 1.0] {
+            let linear = fused_select(5, t, &a, &view, &train, &non_train, UserId(u), &[]);
+            let walk = Walk::Ascending(&in_train);
+            let walked = walk_select(5, t, &a, &view, walk, &mut flags, &[seen]);
+            assert_eq!(walked, linear, "user {u} θ={t}");
         }
     }
 }
