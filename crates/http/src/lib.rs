@@ -11,12 +11,13 @@
 //! 1. **Wire** ([`http1`]) — request/response framing with hard limits and
 //!    a deterministic response header set (no `Date`), so identical state
 //!    produces byte-identical responses.
-//! 2. **Server** ([`server`]) — [`HttpServer`]: an event-driven front-end
-//!    (one readiness-polling event loop owning every connection, a small
-//!    compute-only worker pool for handler dispatch), with keep-alive,
+//! 2. **Server** ([`server`]) — [`HttpServer`]: a leader/followers
+//!    front-end (every serving thread waits on one shared readiness
+//!    poller; the thread woken for a connection reads, frames, dispatches
+//!    and writes its requests end to end), with keep-alive,
 //!    content-length framing, clock-driven idle/slow-loris eviction, and
 //!    graceful drain — connection concurrency is bounded by file
-//!    descriptors, not workers. Fronts a [`Frontend`] (single engine,
+//!    descriptors, not threads. Fronts a [`Frontend`] (single engine,
 //!    in-process sharded engine, or router), with `POST /admin/refit`
 //!    wired to the background-refit machinery.
 //! 3. **Client** ([`client`], [`router`]) — [`HttpClient`] /

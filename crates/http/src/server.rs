@@ -21,39 +21,58 @@
 //! `unknown_item` so a [`crate::RemoteShard`] can reconstruct the typed
 //! error without parsing prose.
 //!
-//! ## Architecture: one event loop, a compute-only worker pool
+//! ## Architecture: leader/followers over one poller
 //!
-//! A single event-loop thread owns the listener and every connection
-//! through a readiness poller ([`polling::Poller`], oneshot delivery). It
-//! accepts, reads non-blockingly into per-connection buffers, and frames
-//! requests *incrementally*: a cheap gate (head terminator found +
+//! Every one of the `ServerConfig::workers` serving threads runs the same
+//! loop over one shared readiness poller ([`polling::Poller`], oneshot
+//! delivery, one event per wait). The thread an event wakes owns that
+//! source end to end: for the listener it accepts and re-arms; for a
+//! connection it reads non-blockingly into the connection's buffer, frames
+//! requests *incrementally* — a cheap gate (head terminator found +
 //! `Content-Length` bytes buffered) decides when a request is complete,
-//! and only then is the unchanged [`http1::read_request`] parser run over
-//! the buffered bytes — framing behaviour and response bytes are identical
-//! to the previous blocking implementation, which `tests/http_equivalence.rs`
-//! and `tests/http_protocol.rs` pin unmodified.
+//! and only then is the [`http1::read_request`] parser run over
+//! the buffered bytes — and serves each complete request inline: route,
+//! serialize, write the response straight to the socket. Pipelined
+//! requests are served in a loop by the same thread. Framing behaviour and
+//! response bytes are pinned by `tests/http_equivalence.rs` and
+//! `tests/http_protocol.rs`.
 //!
-//! Complete requests are dispatched to a small worker pool that only
-//! *computes*: route, serialize, and write the response straight to the
-//! socket (safe: oneshot delivery disarmed the fd when its readable event
-//! fired, so the loop won't touch it until the worker posts a completion).
-//! A worker never blocks on a slow peer — an `EWOULDBLOCK` hands the
-//! unwritten tail back to the event loop, which finishes the flush on
-//! write readiness. The result is that concurrent connections are bounded
-//! by file descriptors, not by `workers`: 10k idle keep-alive connections
-//! cost one `HashMap` entry each, while `workers` sizes only the compute
-//! concurrency.
+//! Oneshot delivery wakes exactly one thread per event and disarms the
+//! source until its owner re-arms it, so a connection is never served by
+//! two threads at once; its lock is held only by its owner (and, briefly,
+//! by the chores below). Taking one event per wait leaves every other
+//! ready connection on the poller for an idle thread, so a slow handler
+//! delays only its own connection. A handler panic is caught inside the
+//! connection lock: that connection closes unanswered, and the thread and
+//! every lock survive.
+//!
+//! A thread never blocks on a slow peer — an `EWOULDBLOCK` parks the
+//! unwritten tail on the connection, armed for write readiness, and
+//! whichever thread that event wakes finishes the flush. Concurrent
+//! connections are therefore bounded by file descriptors, not by
+//! `workers`: 10k idle keep-alive connections cost one table entry each,
+//! while `workers` sizes only how many requests are served at once.
+//!
+//! Before each wait a thread takes a turn at the chores — the deadline
+//! sweep and the connection gauges — if no other thread is on them and a
+//! poll tick (10 ms) has passed since the last turn, so serving a request
+//! never pays for a walk over the connection table. The sweep only
+//! `try_lock`s each connection; a held lock means a serving thread owns
+//! it, which exempts it from eviction. A turn that leaves no connection
+//! open lets its thread wait without a timeout; a thread about to serve
+//! a connection wakes one such sleeper to keep the chores going.
 //!
 //! ## Connection state machine
 //!
-//! Each connection is `Reading` (buffering a request), `Dispatched` (a
-//! worker owns it), `Writing` (the loop is flushing a response tail), or
-//! `Draining` (a fatal error was answered; discarding already-sent input
-//! so the close doesn't RST the error response away). Framing violations
-//! (torn heads, bad `Content-Length`, oversized bodies) answer once and
-//! close — the stream cannot be re-synchronized. Well-framed but invalid
-//! requests (bad JSON, unknown route, unknown ids) answer 400/404 and keep
-//! the connection, so a client burst survives its own mistakes.
+//! A connection no thread owns is `Reading` (buffering a request),
+//! `Writing` (a response tail waits for write readiness), or `Draining`
+//! (a fatal error was answered; discarding already-sent input so the
+//! close doesn't RST the error response away). While a thread serves it,
+//! it counts as `dispatched` in `ganc_http_connections{state}`. Framing
+//! violations (torn heads, bad `Content-Length`, oversized bodies) answer
+//! once and close — the stream cannot be re-synchronized. Well-framed but
+//! invalid requests (bad JSON, unknown route, unknown ids) answer 400/404
+//! and keep the connection, so a client burst survives its own mistakes.
 //! `tests/http_protocol.rs` fuzzes exactly this contract.
 //!
 //! ## Timeouts
@@ -81,9 +100,8 @@ use std::collections::HashMap;
 use std::io::{self, Cursor, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tinyjson::{obj, Value};
@@ -91,10 +109,10 @@ use tinyjson::{obj, Value};
 /// Server tuning knobs.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Compute worker threads (handler dispatch + response serialization).
-    /// This bounds concurrent *request processing*, not concurrent
-    /// connections — idle keep-alive connections are owned by the event
-    /// loop and cost no worker.
+    /// Serving threads. Each waits on the shared poller and serves the
+    /// connection it is woken for end to end, so this bounds concurrent
+    /// *request processing*, not concurrent connections — an idle
+    /// keep-alive connection waits on the poller and costs no thread.
     pub workers: usize,
     /// Framing limits (oversized heads → 400, oversized bodies → 413).
     pub limits: Limits,
@@ -128,8 +146,8 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            // Compute-only pool: track cores, not expected connections —
-            // connection concurrency is the event loop's job now.
+            // Track cores, not expected connections: idle connections
+            // wait on the poller, not on a thread.
             workers: std::thread::available_parallelism().map_or(4, |p| p.get().clamp(2, 16)),
             limits: Limits::default(),
             keep_alive_requests: 100_000,
@@ -347,14 +365,13 @@ pub struct RefitHook {
     pub cadence: Option<CadenceConfig>,
 }
 
-/// A running HTTP server; dropping it drains in-flight requests, stops the
-/// event loop, and joins every worker.
+/// A running HTTP server; dropping it drains in-flight requests and joins
+/// every serving thread.
 pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    poller: Arc<Poller>,
-    event_loop: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// `None` once shut down: the last reference goes with the threads.
+    core: Option<Arc<Core>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl HttpServer {
@@ -395,12 +412,8 @@ impl HttpServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let poller = Arc::new(Poller::new()?);
+        let poller = Poller::new()?;
         poller.add(&listener, Event::readable(LISTENER_KEY))?;
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = channel();
-        let rx = Arc::new(Mutex::new(rx));
-        let completions = Arc::new(Mutex::new(Vec::new()));
         let http = HttpObs::new(&hub);
         // Replicated router bands get their background health-probe loops
         // here: probes restore ejected replicas and rotate primaries for
@@ -409,7 +422,7 @@ impl HttpServer {
             Frontend::Router(r) => r.spawn_probes(),
             _ => Vec::new(),
         };
-        let app = Arc::new(App {
+        let app = App {
             frontend,
             refit,
             cfg: cfg.clone(),
@@ -417,47 +430,18 @@ impl HttpServer {
             http,
             controller,
             _probes: probes,
-        });
-
-        let workers = (0..cfg.workers.max(1))
+        };
+        let core = Arc::new(Core::new(app, listener, poller));
+        let threads = (0..cfg.workers.max(1))
             .map(|_| {
-                let rx = Arc::clone(&rx);
-                let app = Arc::clone(&app);
-                let stop = Arc::clone(&stop);
-                let completions = Arc::clone(&completions);
-                let poller = Arc::clone(&poller);
-                std::thread::spawn(move || loop {
-                    let job = match rx.lock().unwrap().recv() {
-                        Ok(job) => job,
-                        Err(_) => return, // event loop gone, queue drained
-                    };
-                    let key = job.key;
-                    // A handler panic must not take the worker down with it
-                    // (the fuzz suite's "never crash" property); the
-                    // connection is simply dropped.
-                    let done =
-                        std::panic::catch_unwind(AssertUnwindSafe(|| app.respond(&job, &stop)));
-                    let done = done.unwrap_or(Completion::Failed { key });
-                    completions.lock().unwrap().push(done);
-                    let _ = poller.notify();
-                })
+                let core = Arc::clone(&core);
+                std::thread::spawn(move || core.serve())
             })
             .collect();
-
-        let event_loop = {
-            let stop = Arc::clone(&stop);
-            let poller = Arc::clone(&poller);
-            std::thread::spawn(move || {
-                EventLoop::new(app, listener, poller, tx, completions, stop).run();
-            })
-        };
-
         Ok(HttpServer {
             addr,
-            stop,
-            poller,
-            event_loop: Some(event_loop),
-            workers,
+            core: Some(core),
+            threads,
         })
     }
 
@@ -468,15 +452,15 @@ impl HttpServer {
 
     /// Graceful drain: stop accepting, close idle connections, let
     /// in-flight requests finish (bounded by a wall-clock cap), then join
-    /// the event loop and all workers.
+    /// every serving thread and close the listener.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = self.poller.notify();
-        if let Some(event_loop) = self.event_loop.take() {
-            let _ = event_loop.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        let Some(core) = self.core.take() else {
+            return;
+        };
+        core.stop.store(true, Ordering::Relaxed);
+        let _ = core.poller.notify();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -493,16 +477,17 @@ const LISTENER_KEY: usize = 0;
 /// closing the socket doesn't RST the response away before the client
 /// reads it (a 413'd client deserves to see its 413).
 const FATAL_DRAIN_BYTES: usize = 1024 * 1024;
-/// Per-`read(2)` scratch size on the event loop.
+/// Per-`read(2)` scratch size on a serving thread.
 const READ_CHUNK: usize = 16 * 1024;
 /// Wall-clock cap on the graceful shutdown drain. Real time, not hub
 /// time — a `ManualClock` never advances during shutdown.
 const DRAIN_CAP: Duration = Duration::from_secs(5);
-/// Poll tick while connections exist: deadline checks observe a
-/// `ManualClock` advance within one tick without any socket activity.
+/// Poll tick: deadline checks observe a `ManualClock` advance within one
+/// tick without any socket activity.
 const POLL_TICK: Duration = Duration::from_millis(10);
 
-/// What the event loop does once a response flush completes.
+/// What the owning thread does once a response flush completes.
+#[derive(Clone, Copy)]
 enum AfterWrite {
     /// Keep-alive: look for the next (possibly pipelined) request.
     Advance,
@@ -512,12 +497,10 @@ enum AfterWrite {
     Drain,
 }
 
-/// Per-connection state. `Dispatched` means a worker owns the socket (its
-/// fd is disarmed by oneshot delivery); every other state is owned by the
-/// event loop.
+/// Per-connection state while no thread owns the connection: what its
+/// armed readiness event is for.
 enum ConnState {
     Reading,
-    Dispatched,
     Writing {
         buf: Vec<u8>,
         pos: usize,
@@ -532,18 +515,19 @@ impl ConnState {
     fn tag(&self) -> usize {
         match self {
             ConnState::Reading => 0,
-            ConnState::Dispatched => 1,
             ConnState::Writing { .. } => 2,
             ConnState::Draining { .. } => 3,
         }
     }
 }
 
-/// Gauge labels, indexed by [`ConnState::tag`].
+/// Gauge labels, indexed by [`ConnState::tag`]; index 1 counts the
+/// connections a serving thread owns (their lock is held).
 const STATE_LABELS: [&str; 4] = ["reading", "dispatched", "writing", "draining"];
+const OWNED: usize = 1;
 
 struct Conn {
-    stream: Arc<TcpStream>,
+    stream: TcpStream,
     /// Buffered unparsed input.
     buf: Vec<u8>,
     /// Peer half-closed its write side; whatever is buffered is the whole
@@ -556,30 +540,9 @@ struct Conn {
     /// Hub-clock μs the currently-buffering request's first byte arrived
     /// (`None` between requests) — the slow-loris deadline anchor.
     request_start_us: Option<u64>,
-}
-
-/// One complete request handed to the compute pool.
-struct Job {
-    key: usize,
-    stream: Arc<TcpStream>,
-    req: Request,
-    /// Request ordinal on this connection (keep-alive budget).
-    served: u32,
-    parse_us: u64,
-}
-
-/// What a worker posts back to the event loop.
-enum Completion {
-    Done {
-        key: usize,
-        keep_alive: bool,
-        /// Response tail the worker could not write without blocking; the
-        /// event loop flushes it on write readiness. Empty = fully sent.
-        unwritten: Vec<u8>,
-    },
-    Failed {
-        key: usize,
-    },
+    /// Removed from the table (evicted between its readiness event and
+    /// the woken thread taking the lock): nothing more to do.
+    closed: bool,
 }
 
 /// What the incremental framing gate decided about a connection's buffer.
@@ -594,174 +557,204 @@ enum Gate {
     Closed,
 }
 
-struct EventLoop {
-    app: Arc<App>,
+/// What every serving thread shares: the backend, the listener, the one
+/// poller, and the connection table.
+struct Core {
+    app: App,
     listener: TcpListener,
-    poller: Arc<Poller>,
-    conns: HashMap<usize, Conn>,
-    next_key: usize,
-    jobs: Sender<Job>,
-    completions: Arc<Mutex<Vec<Completion>>>,
-    stop: Arc<AtomicBool>,
+    poller: Poller,
+    /// Open connections by poller key. A thread serving a connection holds
+    /// its lock; nobody blocks on a connection lock while holding this one.
+    conns: Mutex<HashMap<usize, Arc<Mutex<Conn>>>>,
+    next_key: AtomicUsize,
+    /// Held by the one thread sweeping deadlines and publishing gauges
+    /// (the others skip those chores); the wall-clock time of the last
+    /// turn, so they run at most once per [`POLL_TICK`].
+    chores: Mutex<Instant>,
+    /// Threads waiting without a timeout because their chores turn found
+    /// no connection open. A thread about to serve a connection wakes
+    /// one, so the chores never wait on sleepers while every awake thread
+    /// is inside a handler.
+    sleepers: AtomicUsize,
+    stop: AtomicBool,
+    /// Wall-clock end of the shutdown drain, set by the first thread to
+    /// see `stop`.
+    drain_deadline: OnceLock<Instant>,
     gauges: [Arc<Gauge>; 4],
     accepted: Arc<Counter>,
 }
 
-impl EventLoop {
-    fn new(
-        app: Arc<App>,
-        listener: TcpListener,
-        poller: Arc<Poller>,
-        jobs: Sender<Job>,
-        completions: Arc<Mutex<Vec<Completion>>>,
-        stop: Arc<AtomicBool>,
-    ) -> EventLoop {
-        let gauge = |state| {
+impl Core {
+    fn new(app: App, listener: TcpListener, poller: Poller) -> Core {
+        let gauges = STATE_LABELS.map(|state| {
             app.hub.metrics.gauge(
                 "ganc_http_connections",
                 "Open HTTP connections by state-machine state",
                 &[("state", state)],
             )
-        };
-        let gauges = [
-            gauge(STATE_LABELS[0]),
-            gauge(STATE_LABELS[1]),
-            gauge(STATE_LABELS[2]),
-            gauge(STATE_LABELS[3]),
-        ];
+        });
         let accepted = app.hub.metrics.counter(
             "ganc_http_conn_accepted_total",
-            "Connections accepted by the event loop",
+            "Connections accepted by the server",
             &[],
         );
-        EventLoop {
+        Core {
             app,
             listener,
             poller,
-            conns: HashMap::new(),
-            next_key: LISTENER_KEY,
-            jobs,
-            completions,
-            stop,
+            conns: Mutex::new(HashMap::new()),
+            next_key: AtomicUsize::new(LISTENER_KEY),
+            chores: Mutex::new(Instant::now()),
+            sleepers: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            drain_deadline: OnceLock::new(),
             gauges,
             accepted,
         }
     }
 
-    fn run(mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        let mut draining = false;
-        let mut drain_deadline = Instant::now();
+    fn table(&self) -> MutexGuard<'_, HashMap<usize, Arc<Mutex<Conn>>>> {
+        self.conns
+            .lock()
+            .expect("no thread panics while holding the connection table")
+    }
+
+    /// One serving thread: take a turn at the chores when one is due,
+    /// take one readiness event from the shared poller, serve its source
+    /// end to end.
+    /// One event per wait keeps a second ready connection on the poller
+    /// for an idle thread instead of queueing it behind this one.
+    fn serve(&self) {
+        let mut events: Vec<Event> = Vec::with_capacity(1);
         loop {
-            if !draining && self.stop.load(Ordering::Relaxed) {
-                draining = true;
-                drain_deadline = Instant::now() + DRAIN_CAP;
-                let _ = self.poller.delete(&self.listener);
+            let stopping = self.stop.load(Ordering::Relaxed);
+            if stopping && self.drain() {
+                // One waiter drains the notify pipe: wake the next.
+                let _ = self.poller.notify();
+                return;
             }
-            if draining {
-                // Evict everything without an in-flight response
-                // (Dispatched finishes its handler, Writing finishes its
-                // flush); repeat each tick because completions re-enter
-                // Reading.
-                let idle: Vec<usize> = self
-                    .conns
-                    .iter()
-                    .filter(|(_, c)| {
-                        matches!(c.state, ConnState::Reading | ConnState::Draining { .. })
-                    })
-                    .map(|(&k, _)| k)
-                    .collect();
-                for key in idle {
-                    self.close(key, Some("shutdown"));
-                }
-                if self.conns.is_empty() || Instant::now() >= drain_deadline {
-                    let rest: Vec<usize> = self.conns.keys().copied().collect();
-                    for key in rest {
-                        self.close(key, Some("shutdown"));
-                    }
-                    self.publish_gauges();
-                    return;
-                }
-            }
-            let timeout = if draining {
+            let timeout = if stopping {
                 Some(Duration::from_millis(2))
-            } else if self.conns.is_empty() {
-                None // woken by accept or notify
             } else {
-                Some(POLL_TICK)
+                self.chores()
             };
             events.clear();
             let _ = self.poller.wait(&mut events, timeout);
-            // Completions first: they re-arm interest (or free the key)
-            // before this batch's readiness events are interpreted.
-            let done: Vec<Completion> = std::mem::take(&mut *self.completions.lock().unwrap());
-            for completion in done {
-                self.complete(completion);
+            if timeout.is_none() {
+                self.sleepers.fetch_sub(1, Ordering::SeqCst);
             }
-            for ev in events.iter().copied() {
-                if ev.key == LISTENER_KEY {
-                    if !draining {
-                        self.accept_ready();
+            match events.first().map(|ev| ev.key) {
+                Some(LISTENER_KEY) if !stopping => self.accept_ready(),
+                Some(LISTENER_KEY) | None => {}
+                Some(key) => {
+                    if self.sleepers.load(Ordering::SeqCst) > 0 {
+                        let _ = self.poller.notify();
                     }
-                } else {
-                    self.conn_ready(ev);
+                    self.conn_ready(key)
                 }
             }
-            self.sweep_deadlines();
-            self.publish_gauges();
         }
     }
 
-    fn alloc_key(&mut self) -> usize {
-        loop {
-            self.next_key = self.next_key.wrapping_add(1);
-            let k = self.next_key;
-            if k != LISTENER_KEY && k != usize::MAX && !self.conns.contains_key(&k) {
-                return k;
+    /// Take a turn at the chores — the deadline sweep and the gauges —
+    /// if no other thread is on them and a tick has passed since the last
+    /// turn, and return how long this thread may then wait. A sweep that
+    /// leaves no connection open lets the thread wait without a timeout:
+    /// an empty table has no deadlines, and the thread that admits the
+    /// next connection waits in ticks again.
+    fn chores(&self) -> Option<Duration> {
+        let Ok(mut last_turn) = self.chores.try_lock() else {
+            return Some(POLL_TICK);
+        };
+        if last_turn.elapsed() < POLL_TICK {
+            return Some(POLL_TICK);
+        }
+        *last_turn = Instant::now();
+        // Counted before the sweep, so a thread serving a connection
+        // admitted after it sees this one asleep.
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let now = self.app.hub.now_us();
+        let idle_us = self.app.cfg.read_timeout.as_micros() as u64;
+        let deadline_us = self.app.cfg.request_deadline.as_micros() as u64;
+        // Owned connections are exempt: a serving thread is on them.
+        let open = self.sweep(|conn| {
+            let conn = conn?;
+            let mid_request =
+                conn.request_start_us.is_some() || !matches!(conn.state, ConnState::Reading);
+            if conn
+                .request_start_us
+                .is_some_and(|t0| now.saturating_sub(t0) >= deadline_us)
+            {
+                Some("deadline")
+            } else if now.saturating_sub(conn.last_progress_us) >= idle_us {
+                Some(if mid_request { "deadline" } else { "idle" })
+            } else {
+                None
             }
+        });
+        if open == 0 {
+            return None;
         }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        Some(POLL_TICK)
     }
 
-    fn accept_ready(&mut self) {
+    /// One shutdown step: stop accepting, close every connection without a
+    /// response in flight (owned ones finish their handler, `Writing` ones
+    /// their flush), and once none are left — or the drain cap passed —
+    /// close the rest. True when this thread may exit.
+    fn drain(&self) -> bool {
+        let deadline = *self.drain_deadline.get_or_init(|| {
+            let _ = self.poller.delete(&self.listener);
+            Instant::now() + DRAIN_CAP
+        });
+        let overdue = Instant::now() >= deadline;
+        let _turn = self
+            .chores
+            .lock()
+            .expect("a thread panicked during the chores");
+        self.sweep(|conn| {
+            let idle = conn.is_some_and(|c| {
+                matches!(c.state, ConnState::Reading | ConnState::Draining { .. })
+            });
+            (idle || overdue).then_some("shutdown")
+        }) == 0
+    }
+
+    /// Walk the connection table: evict every connection `reason` names a
+    /// reason for, publish the per-state gauges over the rest, and return
+    /// how many remain. Connections are only `try_lock`ed; a held lock
+    /// means a serving thread owns the connection (`None` to `reason`).
+    fn sweep(&self, reason: impl Fn(Option<&Conn>) -> Option<&'static str>) -> usize {
+        let mut counts = [0u64; 4];
+        let mut conns = self.table();
+        conns.retain(|&key, conn| {
+            let mut guard = conn.try_lock().ok();
+            let Some(why) = reason(guard.as_deref()) else {
+                counts[guard.map_or(OWNED, |c| c.state.tag())] += 1;
+                return true;
+            };
+            // An owned connection (shutdown past the drain cap) is left
+            // to its owner, whose last reference closes the socket.
+            if let Some(conn) = guard.as_deref_mut() {
+                conn.closed = true;
+                let _ = self.poller.delete(&conn.stream);
+            }
+            self.evicted(key, why);
+            false
+        });
+        let open = conns.len();
+        drop(conns);
+        for (gauge, count) in self.gauges.iter().zip(counts) {
+            gauge.set(count as f64);
+        }
+        open
+    }
+
+    fn accept_ready(&self) {
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let key = self.alloc_key();
-                    if self.conns.len() >= self.app.cfg.max_connections {
-                        // Immediate close beats an unbounded queue marching
-                        // toward fd exhaustion; the reject is observable.
-                        self.evicted(key, "capacity");
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    if self.poller.add(&stream, Event::readable(key)).is_err() {
-                        continue;
-                    }
-                    let now = self.app.hub.now_us();
-                    self.conns.insert(
-                        key,
-                        Conn {
-                            stream: Arc::new(stream),
-                            buf: Vec::new(),
-                            eof: false,
-                            state: ConnState::Reading,
-                            served: 0,
-                            last_progress_us: now,
-                            request_start_us: None,
-                        },
-                    );
-                    self.accepted.inc();
-                    self.app.hub.trace.record(
-                        now,
-                        TraceData::ConnAccept {
-                            conn: key as u64,
-                            open: self.conns.len() as u64,
-                        },
-                    );
-                }
+                Ok((stream, _)) => self.admit(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 // Transient accept errors (EMFILE, aborted handshake):
@@ -774,31 +767,92 @@ impl EventLoop {
             .modify(&self.listener, Event::readable(LISTENER_KEY));
     }
 
-    fn conn_ready(&mut self, ev: Event) {
-        // Stale events are possible (the conn closed earlier this batch).
-        let Some(conn) = self.conns.get(&ev.key) else {
-            return;
+    fn admit(&self, stream: TcpStream) {
+        let mut conns = self.table();
+        let key = loop {
+            let k = self
+                .next_key
+                .fetch_add(1, Ordering::Relaxed)
+                .wrapping_add(1);
+            if k != LISTENER_KEY && k != usize::MAX && !conns.contains_key(&k) {
+                break k;
+            }
         };
+        if conns.len() >= self.app.cfg.max_connections {
+            drop(conns);
+            // Immediate close beats an unbounded queue marching toward fd
+            // exhaustion; the reject is observable.
+            self.evicted(key, "capacity");
+            return;
+        }
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        // Armed under the table lock, so the thread its first event wakes
+        // finds the entry.
+        if self.poller.add(&stream, Event::readable(key)).is_err() {
+            return;
+        }
+        let now = self.app.hub.now_us();
+        conns.insert(
+            key,
+            Arc::new(Mutex::new(Conn {
+                stream,
+                buf: Vec::new(),
+                eof: false,
+                state: ConnState::Reading,
+                served: 0,
+                last_progress_us: now,
+                request_start_us: None,
+                closed: false,
+            })),
+        );
+        let open = conns.len() as u64;
+        drop(conns);
+        self.accepted.inc();
+        self.app.hub.trace.record(
+            now,
+            TraceData::ConnAccept {
+                conn: key as u64,
+                open,
+            },
+        );
+    }
+
+    /// Serve a connection's readiness event. Oneshot delivery woke only
+    /// this thread, and the connection stays disarmed until this thread
+    /// re-arms it, so the lock is only ever contended by the chores.
+    fn conn_ready(&self, key: usize) {
+        let Some(conn) = self.table().get(&key).cloned() else {
+            return; // closed since the event fired
+        };
+        let mut guard = conn
+            .lock()
+            .expect("handler panics are caught inside the connection lock");
+        let conn = &mut *guard;
+        if conn.closed {
+            return;
+        }
         // Error/hangup conditions arrive as readable+writable; the state
         // decides which direction this connection actually works in.
-        match conn.state {
-            ConnState::Reading => self.read_ready(ev.key),
-            ConnState::Writing { .. } => self.write_ready(ev.key),
-            ConnState::Draining { .. } => self.drain_ready(ev.key),
-            // Oneshot delivery disarmed the fd at dispatch; nothing to do.
-            ConnState::Dispatched => {}
+        match std::mem::replace(&mut conn.state, ConnState::Reading) {
+            ConnState::Reading => self.read_ready(key, conn),
+            ConnState::Writing { buf, pos, then } => {
+                conn.last_progress_us = self.app.hub.now_us();
+                if self.send(key, conn, buf, pos, then) {
+                    self.after_write(key, conn, then);
+                }
+            }
+            ConnState::Draining { budget } => self.drain_ready(key, conn, budget),
         }
     }
 
-    fn read_ready(&mut self, key: usize) {
+    fn read_ready(&self, key: usize, conn: &mut Conn) {
         let now = self.app.hub.now_us();
         let mut scratch = [0u8; READ_CHUNK];
-        let mut progressed = false;
         loop {
-            let Some(conn) = self.conns.get_mut(&key) else {
-                return;
-            };
-            match (&*conn.stream).read(&mut scratch) {
+            match conn.stream.read(&mut scratch) {
                 Ok(0) => {
                     conn.eof = true;
                     break;
@@ -808,259 +862,155 @@ impl EventLoop {
                         conn.request_start_us = Some(now);
                     }
                     conn.buf.extend_from_slice(&scratch[..n]);
-                    progressed = true;
+                    conn.last_progress_us = now;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(key, None);
-                    return;
-                }
+                Err(_) => return self.close(key, conn),
             }
         }
-        if progressed {
-            if let Some(conn) = self.conns.get_mut(&key) {
-                conn.last_progress_us = now;
-            }
-        }
-        self.advance(key);
+        self.advance(key, conn);
     }
 
-    /// Run the framing gate over a connection's buffer: dispatch a complete
-    /// request, answer a framing violation, re-arm for more bytes, or
-    /// close a finished stream. Entered from read readiness and from a
-    /// keep-alive completion (pipelined requests parse from the buffer
-    /// without touching the socket).
-    fn advance(&mut self, key: usize) {
-        let Some(conn) = self.conns.get_mut(&key) else {
-            return;
-        };
-        conn.state = ConnState::Reading;
-        let gate = try_frame(&conn.buf, self.app.cfg.limits, conn.eof, &self.app.hub);
-        match gate {
-            Gate::Closed => self.close(key, None),
-            Gate::NeedMore => {
-                if conn.eof {
-                    // Half-closed with a partial request: the parser over
-                    // the final bytes yields the right fatal answer, and
-                    // `try_frame` only reports NeedMore at eof for an
-                    // empty buffer (handled as Closed).
-                    self.close(key, None);
-                    return;
-                }
-                let _ = self.poller.modify(&*conn.stream, Event::readable(key));
-            }
-            Gate::Request(req, consumed, parse_us) => {
-                conn.buf.drain(..consumed);
-                let now = self.app.hub.now_us();
-                conn.request_start_us = if conn.buf.is_empty() { None } else { Some(now) };
-                conn.served += 1;
-                conn.state = ConnState::Dispatched;
-                let job = Job {
-                    key,
-                    stream: Arc::clone(&conn.stream),
-                    req: *req,
-                    served: conn.served,
-                    parse_us,
-                };
-                // The fd is disarmed (oneshot), so the worker owns the
-                // socket until its completion comes back.
-                if self.jobs.send(job).is_err() {
-                    self.close(key, None);
-                }
-            }
-            Gate::Fatal { status, message } => {
-                self.app.count_request("malformed", status);
-                let body = tinyjson::to_string(&obj! { "error" => message });
-                let mut bytes = Vec::new();
-                let _ = http1::write_response(&mut bytes, status, body.as_bytes(), false);
-                conn.buf.clear();
-                conn.request_start_us = None;
-                self.start_write(key, bytes, 0, AfterWrite::Drain);
-            }
-        }
-    }
-
-    /// Write as much of `bytes[pos..]` as the socket takes; park the rest
-    /// in `Writing` state armed for write readiness.
-    fn start_write(&mut self, key: usize, bytes: Vec<u8>, pos: usize, then: AfterWrite) {
-        let Some(conn) = self.conns.get_mut(&key) else {
-            return;
-        };
-        let mut pos = pos;
+    /// Run the framing gate over a connection's buffer until it parks:
+    /// serve each complete request inline (pipelined requests parse from
+    /// the buffer without touching the socket), answer a framing
+    /// violation, re-arm for more bytes, or close a finished stream.
+    fn advance(&self, key: usize, conn: &mut Conn) {
         loop {
-            if pos == bytes.len() {
-                break;
-            }
-            match (&*conn.stream).write(&bytes[pos..]) {
-                Ok(0) => {
-                    self.close(key, None);
+            match try_frame(&conn.buf, self.app.cfg.limits, conn.eof, &self.app.hub) {
+                Gate::Closed => return self.close(key, conn),
+                Gate::NeedMore => {
+                    if conn.eof {
+                        // Half-closed with a partial request: the parser
+                        // over the final bytes yields the right fatal
+                        // answer, and `try_frame` only reports NeedMore at
+                        // eof for an empty buffer (handled as Closed).
+                        return self.close(key, conn);
+                    }
+                    let _ = self.poller.modify(&conn.stream, Event::readable(key));
                     return;
                 }
-                Ok(n) => pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    conn.state = ConnState::Writing {
-                        buf: bytes,
-                        pos,
-                        then,
+                Gate::Request(req, consumed, parse_us) => {
+                    conn.buf.drain(..consumed);
+                    let now = self.app.hub.now_us();
+                    conn.request_start_us = if conn.buf.is_empty() { None } else { Some(now) };
+                    conn.served += 1;
+                    // A handler panic unwinds no further than this frame:
+                    // the connection closes unanswered and its lock is
+                    // never poisoned.
+                    let sent = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        self.app
+                            .respond(&req, conn.served, parse_us, &conn.stream, &self.stop)
+                    }));
+                    let Ok(Some((bytes, pos, keep_alive))) = sent else {
+                        return self.close(key, conn);
                     };
-                    let _ = self.poller.modify(&*conn.stream, Event::writable(key));
-                    return;
+                    conn.last_progress_us = self.app.hub.now_us();
+                    let then = if keep_alive {
+                        AfterWrite::Advance
+                    } else {
+                        AfterWrite::Close
+                    };
+                    if !self.send(key, conn, bytes, pos, then) {
+                        return;
+                    }
+                    if !keep_alive {
+                        return self.close(key, conn);
+                    }
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(key, None);
+                Gate::Fatal { status, message } => {
+                    self.app.count_request("malformed", status);
+                    let body = tinyjson::to_string(&obj! { "error" => message });
+                    let mut bytes = Vec::new();
+                    let _ = http1::write_response(&mut bytes, status, body.as_bytes(), false);
+                    conn.buf.clear();
+                    conn.request_start_us = None;
+                    if self.send(key, conn, bytes, 0, AfterWrite::Drain) {
+                        self.after_write(key, conn, AfterWrite::Drain);
+                    }
                     return;
                 }
             }
         }
-        self.finish_write(key, then);
     }
 
-    fn write_ready(&mut self, key: usize) {
-        let now = self.app.hub.now_us();
-        let Some(conn) = self.conns.get_mut(&key) else {
-            return;
-        };
-        conn.last_progress_us = now;
-        let state = std::mem::replace(&mut conn.state, ConnState::Reading);
-        let ConnState::Writing { buf, pos, then } = state else {
-            conn.state = state;
-            return;
-        };
-        self.start_write(key, buf, pos, then);
-    }
-
-    fn finish_write(&mut self, key: usize, then: AfterWrite) {
-        match then {
-            AfterWrite::Advance => self.advance(key),
-            AfterWrite::Close => self.close(key, None),
-            AfterWrite::Drain => {
-                let Some(conn) = self.conns.get_mut(&key) else {
-                    return;
+    /// Write `bytes[pos..]`; true once all of it is sent. A socket that
+    /// would block parks the tail in `Writing`, armed for write readiness;
+    /// a failed write closes the connection.
+    fn send(
+        &self,
+        key: usize,
+        conn: &mut Conn,
+        bytes: Vec<u8>,
+        pos: usize,
+        then: AfterWrite,
+    ) -> bool {
+        match write_some(&conn.stream, &bytes, pos) {
+            Ok(pos) if pos == bytes.len() => true,
+            Ok(pos) => {
+                conn.state = ConnState::Writing {
+                    buf: bytes,
+                    pos,
+                    then,
                 };
+                let _ = self.poller.modify(&conn.stream, Event::writable(key));
+                false
+            }
+            Err(_) => {
+                self.close(key, conn);
+                false
+            }
+        }
+    }
+
+    fn after_write(&self, key: usize, conn: &mut Conn, then: AfterWrite) {
+        match then {
+            AfterWrite::Advance => self.advance(key, conn),
+            AfterWrite::Close => self.close(key, conn),
+            AfterWrite::Drain => {
                 if conn.eof {
                     // Nothing more can arrive; the response is flushed.
-                    self.close(key, None);
-                    return;
+                    return self.close(key, conn);
                 }
                 conn.state = ConnState::Draining {
                     budget: FATAL_DRAIN_BYTES,
                 };
-                let _ = self.poller.modify(&*conn.stream, Event::readable(key));
+                let _ = self.poller.modify(&conn.stream, Event::readable(key));
             }
         }
     }
 
-    fn drain_ready(&mut self, key: usize) {
+    fn drain_ready(&self, key: usize, conn: &mut Conn, mut budget: usize) {
         let now = self.app.hub.now_us();
         let mut scratch = [0u8; READ_CHUNK];
         loop {
-            let Some(conn) = self.conns.get_mut(&key) else {
-                return;
-            };
-            let ConnState::Draining { budget } = &mut conn.state else {
-                return;
-            };
-            match (&*conn.stream).read(&mut scratch) {
-                Ok(0) => {
-                    self.close(key, None);
-                    return;
-                }
+            match conn.stream.read(&mut scratch) {
+                Ok(0) => return self.close(key, conn),
                 Ok(n) => {
                     conn.last_progress_us = now;
-                    if *budget <= n {
-                        self.close(key, None);
-                        return;
+                    if budget <= n {
+                        return self.close(key, conn);
                     }
-                    *budget -= n;
+                    budget -= n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let _ = self.poller.modify(&*conn.stream, Event::readable(key));
+                    conn.state = ConnState::Draining { budget };
+                    let _ = self.poller.modify(&conn.stream, Event::readable(key));
                     return;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(key, None);
-                    return;
-                }
+                Err(_) => return self.close(key, conn),
             }
         }
     }
 
-    fn complete(&mut self, completion: Completion) {
-        match completion {
-            Completion::Failed { key } => self.close(key, None),
-            Completion::Done {
-                key,
-                keep_alive,
-                unwritten,
-            } => {
-                let now = self.app.hub.now_us();
-                let Some(conn) = self.conns.get_mut(&key) else {
-                    return;
-                };
-                conn.last_progress_us = now;
-                let then = if keep_alive {
-                    AfterWrite::Advance
-                } else {
-                    AfterWrite::Close
-                };
-                if unwritten.is_empty() {
-                    self.finish_write(key, then);
-                } else {
-                    // The worker stopped at EWOULDBLOCK; don't re-attempt
-                    // inline, wait for write readiness.
-                    conn.state = ConnState::Writing {
-                        buf: unwritten,
-                        pos: 0,
-                        then,
-                    };
-                    let _ = self.poller.modify(&*conn.stream, Event::writable(key));
-                }
-            }
-        }
-    }
-
-    /// Evict connections that stopped making progress (`read_timeout`) or
-    /// whose in-flight request exceeded its total read deadline
-    /// (`request_deadline`, the slow-loris cap). Dispatched connections
-    /// are exempt — a worker owns them.
-    fn sweep_deadlines(&mut self) {
-        if self.conns.is_empty() {
-            return;
-        }
-        let now = self.app.hub.now_us();
-        let idle_us = self.app.cfg.read_timeout.as_micros() as u64;
-        let deadline_us = self.app.cfg.request_deadline.as_micros() as u64;
-        let mut evict: Vec<(usize, &'static str)> = Vec::new();
-        for (&key, conn) in &self.conns {
-            if matches!(conn.state, ConnState::Dispatched) {
-                continue;
-            }
-            let mid_request =
-                conn.request_start_us.is_some() || !matches!(conn.state, ConnState::Reading);
-            if conn
-                .request_start_us
-                .is_some_and(|t0| now.saturating_sub(t0) >= deadline_us)
-            {
-                evict.push((key, "deadline"));
-            } else if now.saturating_sub(conn.last_progress_us) >= idle_us {
-                evict.push((key, if mid_request { "deadline" } else { "idle" }));
-            }
-        }
-        for (key, reason) in evict {
-            self.close(key, Some(reason));
-        }
-    }
-
-    fn close(&mut self, key: usize, evict_reason: Option<&'static str>) {
-        if let Some(conn) = self.conns.remove(&key) {
-            let _ = self.poller.delete(&*conn.stream);
-            if let Some(reason) = evict_reason {
-                self.evicted(key, reason);
-            }
-        }
+    /// Close a connection its owner is done with. The socket itself
+    /// closes when the owner drops the last reference.
+    fn close(&self, key: usize, conn: &mut Conn) {
+        conn.closed = true;
+        let _ = self.poller.delete(&conn.stream);
+        self.table().remove(&key);
     }
 
     fn evicted(&self, key: usize, reason: &'static str) {
@@ -1069,7 +1019,7 @@ impl EventLoop {
             .metrics
             .counter(
                 "ganc_http_conn_evicted_total",
-                "Connections evicted by the event loop, by reason",
+                "Connections evicted by the server, by reason",
                 &[("reason", reason)],
             )
             .inc();
@@ -1081,16 +1031,22 @@ impl EventLoop {
             },
         );
     }
+}
 
-    fn publish_gauges(&self) {
-        let mut counts = [0u64; 4];
-        for conn in self.conns.values() {
-            counts[conn.state.tag()] += 1;
-        }
-        for (gauge, count) in self.gauges.iter().zip(counts) {
-            gauge.set(count as f64);
+/// Write `bytes[pos..]` until done or the non-blocking socket would block;
+/// the new position. An error (a zero-length write included) means the
+/// connection is dead.
+fn write_some(mut stream: &TcpStream, bytes: &[u8], mut pos: usize) -> io::Result<usize> {
+    while pos < bytes.len() {
+        match stream.write(&bytes[pos..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => pos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         }
     }
+    Ok(pos)
 }
 
 /// The incremental framing gate: decide — without consuming anything —
@@ -1239,21 +1195,28 @@ struct App {
 }
 
 impl App {
-    /// Serve one dispatched request on a worker thread: route, serialize,
-    /// and write the response straight to the (non-blocking) socket. The
-    /// fd is disarmed while the worker owns it, so this write never races
-    /// the event loop; an `EWOULDBLOCK` tail rides back on the completion
-    /// for the loop to flush.
-    fn respond(&self, job: &Job, stop: &AtomicBool) -> Completion {
+    /// Serve one request on the thread that owns its connection: route,
+    /// serialize, and write the response straight to the (non-blocking)
+    /// socket. Returns the response bytes, how many were written before
+    /// the socket would block, and whether the connection stays open;
+    /// `None` when the write failed.
+    fn respond(
+        &self,
+        req: &Request,
+        served: u32,
+        parse_us: u64,
+        stream: &TcpStream,
+        stop: &AtomicBool,
+    ) -> Option<(Vec<u8>, usize, bool)> {
         let t_dispatch = self.hub.now_us();
-        let (reply, endpoint) = self.route(&job.req);
+        let (reply, endpoint) = self.route(req);
         let (status, content_type, body) = match reply {
             Reply::Json(status, value) => (status, "application/json", tinyjson::to_string(&value)),
             Reply::Text(status, text) => (status, "text/plain; version=0.0.4", text),
         };
         let t_write = self.hub.now_us();
-        let keep_alive = job.req.keep_alive
-            && job.served < self.cfg.keep_alive_requests
+        let keep_alive = req.keep_alive
+            && served < self.cfg.keep_alive_requests
             && !stop.load(Ordering::Relaxed);
         let mut bytes = Vec::with_capacity(body.len() + 128);
         let _ = http1::write_response_with_type(
@@ -1263,29 +1226,13 @@ impl App {
             body.as_bytes(),
             keep_alive,
         );
-        let mut pos = 0;
-        let mut failed = false;
-        while pos < bytes.len() {
-            match (&*job.stream).write(&bytes[pos..]) {
-                Ok(0) => {
-                    failed = true;
-                    break;
-                }
-                Ok(n) => pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
+        let written = write_some(stream, &bytes, 0);
         let t_done = self.hub.now_us();
         let (dispatch_us, write_us) = (
             t_write.saturating_sub(t_dispatch),
             t_done.saturating_sub(t_write),
         );
-        self.http.parse_us.observe_us(job.parse_us);
+        self.http.parse_us.observe_us(parse_us);
         self.http.dispatch_us.observe_us(dispatch_us);
         self.http.write_us.observe_us(write_us);
         self.count_request(endpoint, status);
@@ -1295,20 +1242,12 @@ impl App {
                 request_id: self.hub.next_request_id(),
                 endpoint,
                 status,
-                parse_us: job.parse_us,
+                parse_us,
                 dispatch_us,
                 write_us,
             },
         );
-        if failed {
-            Completion::Failed { key: job.key }
-        } else {
-            Completion::Done {
-                key: job.key,
-                keep_alive,
-                unwritten: bytes[pos..].to_vec(),
-            }
-        }
+        written.ok().map(|pos| (bytes, pos, keep_alive))
     }
 
     /// Bump `ganc_http_requests_total{endpoint,status}`. Get-or-create on

@@ -1,30 +1,38 @@
-//! The event-driven HTTP front-end's connection behavior (PR 9): timeout
-//! evictions driven by a `ManualClock` (no sleeps deciding semantics —
-//! real time only orders steps), slow-loris defense, the structural
-//! connection ≫ worker decoupling, capacity rejection, and graceful
-//! shutdown.
+//! The HTTP front-end's connection behavior: timeout evictions driven by
+//! a `ManualClock` (no sleeps deciding semantics — real time only orders
+//! steps), slow-loris defense, the structural connection ≫ thread
+//! decoupling, capacity rejection, graceful shutdown, and the
+//! leader/followers serving core's isolation: a handler parked in the
+//! backend stalls neither other connections nor the idle sweep, and a
+//! handler panic closes only its own connection.
 //!
 //! The load-bearing test is [`connections_scale_far_beyond_worker_count`]:
-//! with a compute pool of **one** worker, hundreds-to-thousands of
-//! concurrent keep-alive connections are all served and all stay open.
-//! Under the old worker-per-connection architecture this deadlocks at the
-//! second connection (the lone worker camps on the first keep-alive
-//! socket), so the test is a structural proof that connection concurrency
-//! is no longer coupled to `ServerConfig::workers`.
+//! with **one** serving thread, hundreds-to-thousands of concurrent
+//! keep-alive connections are all served and all stay open. Under a
+//! thread-per-connection architecture this deadlocks at the second
+//! connection (the lone thread camps on the first keep-alive socket), so
+//! the test is a structural proof that connection concurrency is not
+//! coupled to `ServerConfig::workers`.
 
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
-use ganc::http::{Frontend, HttpClient, HttpServer, ServerConfig};
+use ganc::dataset::{ItemId, UserId};
+use ganc::http::testing::GatedPeer;
+use ganc::http::{
+    BackendError, Frontend, HttpClient, HttpServer, PeerTransport, RouterNode, ServerConfig,
+    ShardRoute,
+};
 use ganc::obs::{Clock, ManualClock, ObsHub, TraceData};
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
-use ganc::serve::{EngineConfig, FitConfig, FittedModel, ModelBundle, ServingEngine};
+use ganc::serve::{EngineConfig, FitConfig, FittedModel, ModelBundle, ServeError, ServingEngine};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn fixture_engine() -> Arc<ServingEngine> {
+fn fixture_bundle() -> ModelBundle {
     let data = DatasetProfile::tiny().generate(7);
     let split = data.split_per_user(0.5, 3).unwrap();
     let theta = GeneralizedConfig::default().estimate(&split.train);
@@ -34,10 +42,24 @@ fn fixture_engine() -> Arc<ServingEngine> {
         sample_size: 12,
         ..FitConfig::new(5)
     };
+    ModelBundle::fit(FittedModel::Pop(pop), theta, split.train, &cfg)
+}
+
+fn fixture_engine() -> Arc<ServingEngine> {
     Arc::new(ServingEngine::new(
-        ModelBundle::fit(FittedModel::Pop(pop), theta, split.train, &cfg),
+        fixture_bundle(),
         EngineConfig::default(),
     ))
+}
+
+/// A one-band router whose only band is `peer`.
+fn bind_router(peer: Arc<dyn PeerTransport>, cfg: ServerConfig) -> HttpServer {
+    let router = RouterNode::new(
+        Arc::clone(&fixture_bundle().theta),
+        Vec::new(),
+        vec![ShardRoute::Remote(peer)],
+    );
+    HttpServer::bind(Frontend::Router(Arc::new(router)), None, cfg, "127.0.0.1:0").unwrap()
 }
 
 fn bind(cfg: ServerConfig) -> HttpServer {
@@ -50,7 +72,7 @@ fn manual_hub() -> (Arc<ManualClock>, Arc<ObsHub>) {
     (clock, hub)
 }
 
-/// Real time only *orders* steps (lets the event loop catch up); all
+/// Real time only *orders* steps (lets the server catch up); all
 /// timeout semantics run on the `ManualClock`.
 fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -370,4 +392,180 @@ fn graceful_shutdown_closes_idle_connections_and_joins() {
         }),
         "a stopped server must not serve new connections"
     );
+}
+
+/// A thread parked in a slow handler holds only its own connection: with
+/// two serving threads and connection A's recommend parked at a gate in
+/// the backend, a connection opened afterwards is still accepted and
+/// answered on `/v1/metrics` (which never touches the backend). Opening
+/// the gate answers A with the bytes an ungated call gets.
+#[test]
+fn a_parked_request_does_not_stall_other_connections() {
+    let engine = fixture_engine();
+    let gated = GatedPeer::new(Arc::new(Frontend::Single(engine)) as Arc<dyn PeerTransport>);
+    let cfg = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let server = bind_router(Arc::clone(&gated) as Arc<dyn PeerTransport>, cfg);
+    let addr = server.local_addr();
+
+    let parked = TcpStream::connect(addr).unwrap();
+    (&parked)
+        .write_all(b"GET /v1/recommend/3 HTTP/1.1\r\n\r\n")
+        .unwrap();
+    gated.wait_arrivals(1);
+
+    let other = TcpStream::connect(addr).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (&other)
+        .write_all(b"GET /v1/metrics HTTP/1.1\r\n\r\n")
+        .unwrap();
+    let metrics = read_response(&mut BufReader::new(&other));
+    // Open before asserting, so a failure cannot leave a thread parked.
+    gated.open();
+    let (status, body) = metrics.expect("a parked handler stalled a new connection");
+    assert_eq!(status, 200);
+    assert!(String::from_utf8(body)
+        .unwrap()
+        .contains("ganc_http_connections"));
+
+    parked
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let (status, body) = read_response(&mut BufReader::new(&parked)).unwrap();
+    assert_eq!(status, 200);
+    let ungated = HttpClient::new(addr.to_string())
+        .request("GET", "/v1/recommend/3", None)
+        .unwrap();
+    assert_eq!(ungated.status, 200);
+    assert_eq!(
+        body, ungated.body,
+        "the parked answer equals an ungated one"
+    );
+}
+
+/// Deadlines keep running while a handler is parked: after the serving
+/// threads went to sleep on an empty table, an idle connection is still
+/// evicted while another connection's request holds a thread. The
+/// parked connection is owned, so it is exempt and answers once opened.
+#[test]
+fn an_idle_connection_is_evicted_while_a_handler_is_parked() {
+    let (clock, hub) = manual_hub();
+    let engine = fixture_engine();
+    let gated = GatedPeer::new(Arc::new(Frontend::Single(engine)) as Arc<dyn PeerTransport>);
+    let cfg = ServerConfig {
+        workers: 2,
+        read_timeout: Duration::from_secs(5),
+        obs: Some(Arc::clone(&hub)),
+        ..ServerConfig::default()
+    };
+    let server = bind_router(Arc::clone(&gated) as Arc<dyn PeerTransport>, cfg);
+    let addr = server.local_addr();
+    // Let both threads find the table empty and wait without a timeout.
+    std::thread::sleep(Duration::from_millis(100));
+
+    // Each request follows its connect only after the accepting thread
+    // is back in its wait, so the thread that woke serves it as well and
+    // the other one stays asleep: the case the wake-up exists for.
+    let settle = || std::thread::sleep(Duration::from_millis(20));
+    let idle = TcpStream::connect(addr).unwrap();
+    settle();
+    (&idle).write_all(HEALTHZ).unwrap();
+    let (status, _) = read_response(&mut BufReader::new(&idle)).unwrap();
+    assert_eq!(status, 200);
+    let parked = TcpStream::connect(addr).unwrap();
+    settle();
+    (&parked)
+        .write_all(b"GET /v1/recommend/3 HTTP/1.1\r\n\r\n")
+        .unwrap();
+    gated.wait_arrivals(1);
+
+    // Each poll moves the clock past `read_timeout` again: the thread
+    // that served `idle` may stamp its progress after the client saw the
+    // response, and that stamp must not keep it alive.
+    let evicted = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        wait_until(
+            || {
+                clock.advance(Duration::from_secs(6));
+                sample(&hub, "ganc_http_conn_evicted_total{reason=\"idle\"}") >= 1.0
+            },
+            "idle eviction while a handler is parked",
+        )
+    }));
+    // Open before asserting, so a failure cannot leave a thread parked.
+    gated.open();
+    evicted.unwrap();
+    assert_server_closed(&idle, "idle eviction beside a parked handler");
+
+    parked
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let (status, _) = read_response(&mut BufReader::new(&parked)).unwrap();
+    assert_eq!(status, 200, "the owned connection is exempt from eviction");
+}
+
+/// A peer whose recommend calls panic: a handler bug, as the server
+/// sees it.
+struct PanickingPeer;
+
+impl PeerTransport for PanickingPeer {
+    fn label(&self) -> String {
+        "panicking".to_string()
+    }
+
+    fn recommend_traced(&self, _: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
+        panic!("injected handler panic")
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn recommend_batch_traced(
+        &self,
+        _: &[UserId],
+    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
+        panic!("injected handler panic")
+    }
+
+    fn ingest(&self, _: UserId, _: ItemId, _: f32) -> Result<(), BackendError> {
+        Ok(())
+    }
+
+    fn generation(&self) -> Result<u64, BackendError> {
+        Ok(0)
+    }
+}
+
+/// A handler panic closes its own connection without a response, and
+/// nothing else: the lone serving thread survives it and no connection
+/// lock is poisoned, so the next connection is served.
+#[test]
+fn a_handler_panic_closes_only_its_connection() {
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let server = bind_router(Arc::new(PanickingPeer), cfg);
+
+    let doomed = TcpStream::connect(server.local_addr()).unwrap();
+    doomed
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (&doomed)
+        .write_all(b"GET /v1/recommend/0 HTTP/1.1\r\n\r\n")
+        .unwrap();
+    let mut answer = Vec::new();
+    (&doomed)
+        .read_to_end(&mut answer)
+        .expect("the panicking request's connection is closed");
+    assert!(answer.is_empty(), "a panicking handler answers nothing");
+
+    let survivor = TcpStream::connect(server.local_addr()).unwrap();
+    survivor
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (&survivor).write_all(HEALTHZ).unwrap();
+    let (status, _) = read_response(&mut BufReader::new(&survivor)).unwrap();
+    assert_eq!(status, 200);
 }
